@@ -11,6 +11,7 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
@@ -130,18 +131,24 @@ impl<I> BoundedQueue<I> {
     /// Enqueues `item`, or rejects it with `Busy` (full) / `Closed` (shut
     /// down). On success the consumer is notified.
     pub fn try_push(&self, item: I) -> Result<(), SubmitError> {
-        {
-            let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if q.closed {
-                return Err(SubmitError::Closed);
-            }
-            if q.items.len() >= self.capacity {
-                return Err(SubmitError::Busy);
-            }
-            q.items.push_back(item);
-        }
+        self.try_push_quiet(item)?;
         self.notify.notify();
         Ok(())
+    }
+
+    /// Like [`try_push`](BoundedQueue::try_push), but leaves notifying the
+    /// consumer to the caller — for a producer that may consume the item
+    /// itself. Returns the queue length after the push.
+    pub(crate) fn try_push_quiet(&self, item: I) -> Result<usize, SubmitError> {
+        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if q.closed {
+            return Err(SubmitError::Closed);
+        }
+        if q.items.len() >= self.capacity {
+            return Err(SubmitError::Busy);
+        }
+        q.items.push_back(item);
+        Ok(q.items.len())
     }
 
     /// Moves every queued item into `sink`, preserving FIFO order. Returns
@@ -182,6 +189,60 @@ impl<I> BoundedQueue<I> {
     /// True once [`close`](BoundedQueue::close) has been called.
     pub fn is_closed(&self) -> bool {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed
+    }
+}
+
+/// Exclusive use of one pipeline's process ids, shared between the
+/// pipeline's executor task and callers that serve their own requests on
+/// their own thread.
+///
+/// One atomic word holds `HELD | DIRTY`. A thread that finds the lease held
+/// never blocks or spins on it: it sets `DIRTY` and leaves its work queued.
+/// The holder's release swaps the word back to zero and reports the mark,
+/// and the holder then re-notifies the pipeline — so work queued while the
+/// lease was held is never stranded.
+///
+/// Orderings: the release's swap (`AcqRel`) pairs with the next holder's
+/// acquiring CAS (`Acquire`), so each holder's use of the process ids
+/// happens before the next holder's; a marker's CAS (`AcqRel`) pairs with
+/// the release's swap, so the holder that reports the mark also sees the
+/// marker's queued work.
+#[derive(Default)]
+pub(crate) struct Lease {
+    state: AtomicU8,
+}
+
+const HELD: u8 = 1;
+const DIRTY: u8 = 2;
+
+impl Lease {
+    /// Takes the lease if it is free. If it is held, marks it dirty and
+    /// returns `false`.
+    pub(crate) fn acquire_or_mark(&self) -> bool {
+        let mut state = self.state.load(Ordering::Acquire);
+        loop {
+            let next = if state & HELD == 0 {
+                HELD
+            } else if state & DIRTY != 0 {
+                return false;
+            } else {
+                HELD | DIRTY
+            };
+            match self
+                .state
+                .compare_exchange_weak(state, next, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return next == HELD,
+                Err(actual) => state = actual,
+            }
+        }
+    }
+
+    /// Releases the lease. Returns `true` if another thread marked it while
+    /// it was held: that thread's work is queued and the pipeline must be
+    /// notified.
+    pub(crate) fn release(&self) -> bool {
+        self.state.swap(0, Ordering::AcqRel) & DIRTY != 0
     }
 }
 
@@ -246,6 +307,17 @@ impl<V> Ticket<V> {
     /// Blocks the calling thread until the operation completes.
     pub fn wait(self) -> V {
         crate::executor::block_on(self)
+    }
+
+    /// Takes the value if the operation has already completed, without
+    /// waiting.
+    pub fn try_take(&mut self) -> Option<V> {
+        self.cell
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .value
+            .take()
     }
 }
 
@@ -321,6 +393,18 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         cell.complete(99u64);
         assert_eq!(waiter.join().unwrap(), 99);
+    }
+
+    #[test]
+    fn lease_losers_mark_it_and_the_release_reports_the_mark() {
+        let lease = Lease::default();
+        assert!(lease.acquire_or_mark());
+        assert!(!lease.acquire_or_mark(), "a held lease was granted twice");
+        assert!(!lease.acquire_or_mark());
+        assert!(lease.release(), "the losers' mark was lost");
+        // Released clean: the next holder starts unmarked.
+        assert!(lease.acquire_or_mark());
+        assert!(!lease.release());
     }
 
     #[test]

@@ -26,6 +26,16 @@
 //!    nothing. Accepted work is never dropped: every ticket resolves, even
 //!    across [`SnapshotService::shutdown`].
 //!
+//! **Inline serving.** [`ClientHandle::submit_batch_inline`] and
+//! [`ClientHandle::scan_inline`] queue a request like their plain
+//! counterparts, then run the pipeline's own round on the calling thread
+//! when they can. Each pipeline's process ids are guarded by a lease that
+//! the pipeline task takes for every round; a caller that finds it free
+//! runs the round itself (on wait-free backing objects only, and for scans
+//! only under a policy that never waits for coalescing partners), and a
+//! caller that finds it held marks it and leaves, so the holder re-notifies
+//! the pipeline and nobody ever waits on the lease.
+//!
 //! Per-request **freshness bounds** sort scans into three serving tiers. A
 //! scan submitted with [`Freshness::Fresh`] is always answered by a backing
 //! scan that starts after the request arrived (strict linearizability).
@@ -61,8 +71,8 @@ use psnap_obs::{
 };
 use psnap_shard::{Partition, ReshardPolicy, ReshardPolicyConfig, ShardRouter};
 
-use crate::executor::{block_on_timeout, Executor, Handle};
-use crate::queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
+use crate::executor::{block_on, block_on_timeout, Executor, Handle};
+use crate::queue::{BoundedQueue, Lease, Notify, OpCell, SubmitError, Ticket};
 
 /// How the scan server merges concurrent scan requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,7 +190,7 @@ struct Submission<T> {
     submitted: Instant,
     /// Child span covering the queue dwell; taken and ended at drain time.
     /// Declared before the root so that a rejected submission (dropped
-    /// whole by `try_push`) ends the child first and its stunted tree
+    /// whole by `try_push_quiet`) ends the child first and its stunted tree
     /// still assembles.
     queue_wait: Option<Span>,
     /// Root of the request's span tree (kind `Ingest`); taken and ended
@@ -195,7 +205,7 @@ struct ScanRequest<T> {
     submitted: Instant,
     /// Child span covering the queue dwell; taken and ended at drain time.
     /// Declared before the root so that a rejected request (dropped whole
-    /// by `try_push`) ends the child first and its stunted tree still
+    /// by `try_push_quiet`) ends the child first and its stunted tree still
     /// assembles.
     queue_wait: Option<Span>,
     /// Root of the request's span tree (kind `ScanRequest`): begun on the
@@ -246,6 +256,8 @@ struct Counters {
     writes_applied: Arc<Counter>,
     writes_coalesced_away: Arc<Counter>,
     submits_resolved: Arc<Counter>,
+    /// Submissions resolved by a round run inline on a caller's thread.
+    submits_inline: Arc<Counter>,
     scans_ok: Arc<Counter>,
     scans_busy: Arc<Counter>,
     scans_closed: Arc<Counter>,
@@ -253,6 +265,8 @@ struct Counters {
     scans_served_cache: Arc<Counter>,
     scans_served_mv: Arc<Counter>,
     scans_served_empty: Arc<Counter>,
+    /// Scans served by a round run inline on a caller's thread.
+    scans_inline: Arc<Counter>,
     backing_scans: Arc<Counter>,
     backing_components: Arc<Counter>,
     requested_components: Arc<Counter>,
@@ -287,6 +301,7 @@ impl Default for Counters {
             writes_applied: Arc::new(Counter::new()),
             writes_coalesced_away: Arc::new(Counter::new()),
             submits_resolved: Arc::new(Counter::new()),
+            submits_inline: Arc::new(Counter::new()),
             scans_ok: Arc::new(Counter::new()),
             scans_busy: Arc::new(Counter::new()),
             scans_closed: Arc::new(Counter::new()),
@@ -294,6 +309,7 @@ impl Default for Counters {
             scans_served_cache: Arc::new(Counter::new()),
             scans_served_mv: Arc::new(Counter::new()),
             scans_served_empty: Arc::new(Counter::new()),
+            scans_inline: Arc::new(Counter::new()),
             backing_scans: Arc::new(Counter::new()),
             backing_components: Arc::new(Counter::new()),
             requested_components: Arc::new(Counter::new()),
@@ -340,6 +356,9 @@ pub struct ServiceStats {
     pub submit_latency: HistogramSnapshot,
     /// Submissions whose ticket has been completed.
     pub submits_resolved: u64,
+    /// Of `submits_resolved`, those resolved by an ingestion round run
+    /// inline on a caller's thread rather than by the drainer task.
+    pub submits_inline: u64,
     /// Scan requests accepted into the scan queue.
     pub scans_ok: u64,
     /// Scan requests rejected with [`SubmitError::Busy`].
@@ -356,6 +375,9 @@ pub struct ServiceStats {
     /// Scan requests for zero components, answered inline without backing
     /// work.
     pub scans_served_empty: u64,
+    /// Of the served scans, those served by a round run inline on a
+    /// caller's thread rather than by the scan server task.
+    pub scans_inline: u64,
     /// Backing scans issued against the snapshot object.
     pub backing_scans: u64,
     /// Deduplicated components read by backing scans.
@@ -477,6 +499,10 @@ impl ServiceObs {
                 Json::Num(self.stats.submits_resolved as f64),
             ),
             (
+                "submits_inline",
+                Json::Num(self.stats.submits_inline as f64),
+            ),
+            (
                 "writes_applied",
                 Json::Num(self.stats.writes_applied as f64),
             ),
@@ -494,6 +520,7 @@ impl ServiceObs {
                 "scans_served_mv",
                 Json::Num(self.stats.scans_served_mv as f64),
             ),
+            ("scans_inline", Json::Num(self.stats.scans_inline as f64)),
             ("submit_latency_ns", hist(&self.stats.submit_latency)),
             ("scan_latency_ns", hist(&self.stats.scan_latency)),
             ("backing_latency_ns", hist(&self.stats.backing_latency)),
@@ -554,6 +581,14 @@ struct ServiceCore<T, S> {
     ingest_notify: Arc<Notify>,
     scan_notify: Arc<Notify>,
     scan_queue: BoundedQueue<ScanRequest<T>>,
+    /// Exclusive use of `drain_pid`: held by the drainer task for each
+    /// round, or by a caller running a round inline.
+    ingest_lease: Lease,
+    /// Exclusive use of the scan pid pool: held by the scan server for each
+    /// serve round, or by a caller serving scans inline.
+    scan_lease: Lease,
+    /// Spawns parallel union jobs, from the scan server or an inline round.
+    handle: Handle,
     /// Fast-path mirror of [`ClientRegistry::closed`] for background tasks
     /// (reporter, reshard driver, auditor) that only need an eventually
     /// consistent answer. The registry field is authoritative.
@@ -679,11 +714,7 @@ where
     /// Returns `(backing_requests, backing_scans, total_backing_ns)` for
     /// the caller's latency and overlap estimates (measured locally, so the
     /// adaptive controller keeps working even with the obs layer disabled).
-    async fn serve_scans(
-        self: &Arc<Self>,
-        requests: Vec<ScanRequest<T>>,
-        handle: &Handle,
-    ) -> (u64, u64, u64)
+    async fn serve_scans(self: &Arc<Self>, requests: Vec<ScanRequest<T>>) -> (u64, u64, u64)
     where
         S: 'static,
     {
@@ -814,7 +845,7 @@ where
             let pid = ProcessId(self.config.scan_pid.index() + w);
             let cell = OpCell::new();
             let done = Arc::clone(&cell);
-            handle.spawn(async move {
+            self.handle.spawn(async move {
                 let mut count = 0u64;
                 let mut total_ns = 0u64;
                 for job in bucket {
@@ -907,6 +938,123 @@ where
             self.complete_scan(request, 0, 0, values);
         }
         elapsed_ns
+    }
+
+    /// One serve round over drained scan requests, run under the scan lease
+    /// by the scan server or by an inline caller: one request per
+    /// [`serve_scans`](ServiceCore::serve_scans) call when coalescing is
+    /// disabled, all of them in one call otherwise. Returns the summed
+    /// `(backing_requests, backing_scans, total_backing_ns)`.
+    async fn scan_round(self: &Arc<Self>, requests: Vec<ScanRequest<T>>) -> (u64, u64, u64)
+    where
+        S: 'static,
+    {
+        if self.config.coalescing != Coalescing::Disabled {
+            return self.serve_scans(requests).await;
+        }
+        let mut total = (0, 0, 0);
+        for request in requests {
+            let (reqs, scans, ns) = self.serve_scans(vec![request]).await;
+            total = (total.0 + reqs, total.1 + scans, total.2 + ns);
+        }
+        total
+    }
+
+    /// Serves the queued scans on the calling thread, if the scan pipeline
+    /// is idle — the lease is free and nothing else was queued when
+    /// `queued` (the queue length after the caller's push) was read.
+    /// Otherwise notifies the scan server (or leaves the lease marked, which
+    /// makes the holder notify it) and the requests wait there as usual.
+    ///
+    /// Only on wait-free backing objects, so the caller's thread always
+    /// finishes in a bounded number of its own steps, and only under a
+    /// policy that never waits for coalescing partners: windowed and
+    /// adaptive rounds stay on the scan server.
+    fn serve_scans_inline(self: &Arc<Self>, queued: usize)
+    where
+        S: 'static,
+    {
+        let never_waits = matches!(
+            self.config.coalescing,
+            Coalescing::Disabled | Coalescing::Window(Duration::ZERO)
+        );
+        if queued != 1 || !never_waits || !self.snapshot.is_wait_free() {
+            self.scan_notify.notify();
+            return;
+        }
+        if !self.scan_lease.acquire_or_mark() {
+            return;
+        }
+        let mut requests = Vec::new();
+        self.scan_queue.drain_into(&mut requests);
+        track_scan_drain(&self.counters, &mut requests);
+        if !requests.is_empty() {
+            if self.config.coalescing != Coalescing::Disabled {
+                self.counters.window_ns.record(0);
+            }
+            let served = requests.len() as u64;
+            block_on(self.scan_round(requests));
+            self.counters.scans_inline.add(served);
+        }
+        self.release_scan_lease();
+    }
+
+    fn release_scan_lease(&self) {
+        if self.scan_lease.release() {
+            self.scan_notify.notify();
+        }
+    }
+
+    /// One ingestion round, run under the ingest lease by the drainer or by
+    /// an inline caller: moves every submission queued in `queues` into
+    /// `pending` and applies them. Returns the number of submissions it
+    /// resolved.
+    fn drain_round(
+        &self,
+        queues: &[Arc<BoundedQueue<Submission<T>>>],
+        pending: &mut Vec<Submission<T>>,
+    ) -> u64 {
+        for queue in queues {
+            queue.drain_into(pending);
+        }
+        let drained = pending.len() as u64;
+        if drained > 0 {
+            self.counters.ingest_depth.sub(drained as i64);
+            trace::emit(TraceKind::QueueDrain, 0, drained);
+            for submission in pending.iter_mut() {
+                submission.queue_wait.take();
+            }
+            self.apply_pending(pending);
+        }
+        drained
+    }
+
+    /// Runs an ingestion round on the calling thread if the backing object
+    /// is wait-free and the lease is free; otherwise notifies the drainer
+    /// (or leaves the lease marked, which makes the holder notify it).
+    fn drain_inline(&self) {
+        if !self.snapshot.is_wait_free() {
+            self.ingest_notify.notify();
+            return;
+        }
+        if !self.ingest_lease.acquire_or_mark() {
+            return;
+        }
+        let queues = self
+            .clients
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .queues
+            .clone();
+        let resolved = self.drain_round(&queues, &mut Vec::new());
+        self.counters.submits_inline.add(resolved);
+        self.release_ingest_lease();
+    }
+
+    fn release_ingest_lease(&self) {
+        if self.ingest_lease.release() {
+            self.ingest_notify.notify();
+        }
     }
 
     /// Applies `pending` as `update_many` chunks that respect submission
@@ -1068,18 +1216,14 @@ where
             let closing = registry.closed && registry.queues.iter().all(|queue| queue.is_closed());
             (registry.queues.clone(), closing)
         };
-        let before = pending.len();
-        for queue in &queues {
-            queue.drain_into(&mut pending);
+        if !core.ingest_lease.acquire_or_mark() {
+            // A caller is running a round inline; its release sees our mark
+            // and notifies us. Never wait on the lease itself.
+            core.ingest_notify.wait().await;
+            continue;
         }
-        let drained = (pending.len() - before) as u64;
-        if drained > 0 {
-            core.counters.ingest_depth.sub(drained as i64);
-            trace::emit(TraceKind::QueueDrain, 0, drained);
-            for submission in &mut pending[before..] {
-                submission.queue_wait.take();
-            }
-        }
+        let drained = core.drain_round(&queues, &mut pending);
+        core.release_ingest_lease();
         // Prune queues of dropped clients: closed means no further push can
         // succeed, and empty (checked after the drain above) means nothing
         // accepted is left to resolve — so removal strands no ticket. This
@@ -1090,15 +1234,13 @@ where
             .unwrap_or_else(|e| e.into_inner())
             .queues
             .retain(|queue| !(queue.is_closed() && queue.is_empty()));
-        if pending.is_empty() {
+        if drained == 0 {
             if closing {
                 break;
             }
             // Mid-sweep shutdown wakes us again: every queue close notifies.
             core.ingest_notify.wait().await;
-            continue;
         }
-        core.apply_pending(&mut pending);
     }
     core.drain_done.complete(());
 }
@@ -1225,7 +1367,7 @@ impl WindowController {
     }
 }
 
-async fn scan_loop<T, S>(core: Arc<ServiceCore<T, S>>, handle: Handle)
+async fn scan_loop<T, S>(core: Arc<ServiceCore<T, S>>)
 where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T> + 'static,
@@ -1245,12 +1387,16 @@ where
         // before the close is seen by this or an earlier drain and no
         // ScanTicket is ever stranded.
         let closing = core.scan_queue.is_closed();
-        let before = requests.len();
+        if !core.scan_lease.acquire_or_mark() {
+            // A caller is serving scans inline; its release notifies us.
+            core.scan_notify.wait().await;
+            continue;
+        }
         core.scan_queue.drain_into(&mut requests);
-        let drained = requests.len() - before;
-        track_scan_drain(&core.counters, &mut requests[before..]);
-        controller.observe_drain(drained);
+        track_scan_drain(&core.counters, &mut requests);
+        controller.observe_drain(requests.len());
         if requests.is_empty() {
+            core.release_scan_lease();
             if closing {
                 break;
             }
@@ -1263,65 +1409,34 @@ where
         // no other request is queued AND at least one window has passed
         // since the last dispatch (see `last_dispatch` above).
         let lone_now = requests.len() == 1 && core.scan_queue.is_empty();
-        let idle_for =
-            |window: Duration| -> bool { last_dispatch.is_none_or(|at| at.elapsed() >= window) };
-        match core.config.coalescing {
-            Coalescing::Disabled => {
-                // Baseline: one backing scan per request, in arrival order.
-                for request in requests.drain(..) {
-                    let (reqs, scans, ns) = core.serve_scans(vec![request], &handle).await;
-                    controller.observe_backing(reqs, scans, ns);
-                }
-                last_dispatch = Some(Instant::now());
-            }
-            Coalescing::Window(window) => {
-                let window = if lone_now && idle_for(window) {
-                    Duration::ZERO
-                } else {
-                    window
-                };
-                core.counters.window_ns.record(window.as_nanos() as u64);
-                if !window.is_zero() {
-                    let window_spans = open_window_spans(&requests, window);
-                    handle.sleep(window).await;
-                    let before = requests.len();
-                    core.scan_queue.drain_into(&mut requests);
-                    let drained = requests.len() - before;
-                    track_scan_drain(&core.counters, &mut requests[before..]);
-                    controller.observe_drain(drained);
-                    drop(window_spans);
-                }
-                let (reqs, scans, ns) = core
-                    .serve_scans(std::mem::take(&mut requests), &handle)
-                    .await;
-                controller.observe_backing(reqs, scans, ns);
-                last_dispatch = Some(Instant::now());
-            }
-            Coalescing::Adaptive { max } => {
-                let proposed = controller.window(max);
-                let window = if lone_now && idle_for(proposed) {
-                    Duration::ZERO
-                } else {
-                    proposed
-                };
-                core.counters.window_ns.record(window.as_nanos() as u64);
-                if !window.is_zero() {
-                    let window_spans = open_window_spans(&requests, window);
-                    handle.sleep(window).await;
-                    let before = requests.len();
-                    core.scan_queue.drain_into(&mut requests);
-                    let drained = requests.len() - before;
-                    track_scan_drain(&core.counters, &mut requests[before..]);
-                    controller.observe_drain(drained);
-                    drop(window_spans);
-                }
-                let (reqs, scans, ns) = core
-                    .serve_scans(std::mem::take(&mut requests), &handle)
-                    .await;
-                controller.observe_backing(reqs, scans, ns);
-                last_dispatch = Some(Instant::now());
+        let proposed = match core.config.coalescing {
+            Coalescing::Disabled => None,
+            Coalescing::Window(window) => Some(window),
+            Coalescing::Adaptive { max } => Some(controller.window(max)),
+        };
+        if let Some(proposed) = proposed {
+            let idle = last_dispatch.is_none_or(|at| at.elapsed() >= proposed);
+            let window = if lone_now && idle {
+                Duration::ZERO
+            } else {
+                proposed
+            };
+            core.counters.window_ns.record(window.as_nanos() as u64);
+            if !window.is_zero() {
+                let window_spans = open_window_spans(&requests, window);
+                core.handle.sleep(window).await;
+                let before = requests.len();
+                core.scan_queue.drain_into(&mut requests);
+                let drained = requests.len() - before;
+                track_scan_drain(&core.counters, &mut requests[before..]);
+                controller.observe_drain(drained);
+                drop(window_spans);
             }
         }
+        let (reqs, scans, ns) = core.scan_round(std::mem::take(&mut requests)).await;
+        controller.observe_backing(reqs, scans, ns);
+        last_dispatch = Some(Instant::now());
+        core.release_scan_lease();
     }
     core.scan_done.complete(());
 }
@@ -1365,6 +1480,9 @@ where
         let scan_notify = Arc::new(Notify::new());
         let core = Arc::new(ServiceCore {
             snapshot,
+            ingest_lease: Lease::default(),
+            scan_lease: Lease::default(),
+            handle: executor.handle(),
             router: ShardRouter::new(m, 1, Partition::Contiguous),
             scan_queue: BoundedQueue::new(config.scan_capacity, Arc::clone(&scan_notify)),
             config,
@@ -1382,7 +1500,7 @@ where
             scan_done: OpCell::new(),
         });
         executor.spawn(drain_loop(Arc::clone(&core)));
-        executor.spawn(scan_loop(Arc::clone(&core), executor.handle()));
+        executor.spawn(scan_loop(Arc::clone(&core)));
         SnapshotService {
             core,
             shutdown_done: Mutex::new(false),
@@ -1542,6 +1660,7 @@ fn stats_of(c: &Counters) -> ServiceStats {
         writes_coalesced_away: c.writes_coalesced_away.get(),
         submit_latency: c.submit_latency.snapshot(),
         submits_resolved: c.submits_resolved.get(),
+        submits_inline: c.submits_inline.get(),
         scans_ok: c.scans_ok.get(),
         scans_busy: c.scans_busy.get(),
         scans_closed: c.scans_closed.get(),
@@ -1549,6 +1668,7 @@ fn stats_of(c: &Counters) -> ServiceStats {
         scans_served_cache: c.scans_served_cache.get(),
         scans_served_mv: c.scans_served_mv.get(),
         scans_served_empty: c.scans_served_empty.get(),
+        scans_inline: c.scans_inline.get(),
         backing_scans: c.backing_scans.get(),
         backing_components: c.backing_components.get(),
         requested_components: c.requested_components.get(),
@@ -1729,9 +1849,13 @@ where
     /// * every accepted scan is served by exactly one of the backing, cache,
     ///   mv, or empty paths (`scan.ok == scan.served_backing +
     ///   scan.served_cache + scan.served_mv + scan.served_empty`).
+    ///
+    /// `ingest.inline` and `scan.inline` count the resolved submissions and
+    /// served scans whose round ran inline on a caller's thread (a subset
+    /// of the totals above, not a further partition leg).
     pub fn register_obs(&self, registry: &Registry, prefix: &str) {
         let c = &self.core.counters;
-        let counters: [(&str, &Arc<Counter>); 20] = [
+        let counters: [(&str, &Arc<Counter>); 22] = [
             ("ingest.ok", &c.submits_ok),
             ("ingest.busy", &c.submits_busy),
             ("ingest.closed", &c.submits_closed),
@@ -1740,6 +1864,7 @@ where
             ("ingest.writes_applied", &c.writes_applied),
             ("ingest.writes_coalesced", &c.writes_coalesced_away),
             ("ingest.resolved", &c.submits_resolved),
+            ("ingest.inline", &c.submits_inline),
             ("scan.ok", &c.scans_ok),
             ("scan.busy", &c.scans_busy),
             ("scan.closed", &c.scans_closed),
@@ -1747,6 +1872,7 @@ where
             ("scan.served_cache", &c.scans_served_cache),
             ("scan.served_mv", &c.scans_served_mv),
             ("scan.served_empty", &c.scans_served_empty),
+            ("scan.inline", &c.scans_inline),
             ("scan.backing", &c.backing_scans),
             ("scan.backing_components", &c.backing_components),
             ("scan.requested_components", &c.requested_components),
@@ -1906,7 +2032,16 @@ where
         }
     }
 
-    fn push_submission(&self, writes: Vec<(usize, T)>) -> Result<UpdateTicket, SubmitError> {
+    /// Queues a submission; on acceptance either runs an ingestion round on
+    /// this thread (`inline`, see [`submit_batch_inline`]) or notifies the
+    /// drainer.
+    ///
+    /// [`submit_batch_inline`]: ClientHandle::submit_batch_inline
+    fn push_submission(
+        &self,
+        writes: Vec<(usize, T)>,
+        inline: bool,
+    ) -> Result<UpdateTicket, SubmitError> {
         let cell = OpCell::new();
         let width = writes.len() as u64;
         // The root span travels with the submission and ends in the apply
@@ -1918,7 +2053,7 @@ where
         let queue_wait = Span::child(root.context(), SpanKind::QueueWait);
         let result = {
             let _in_span = span::enter(root.context());
-            self.queue.try_push(Submission {
+            self.queue.try_push_quiet(Submission {
                 writes,
                 cell: Arc::clone(&cell),
                 submitted: Instant::now(),
@@ -1927,12 +2062,17 @@ where
             })
         };
         match result {
-            Ok(()) => {
+            Ok(queued) => {
                 self.busy_streak.store(0, Ordering::Relaxed);
                 self.core.counters.submits_ok.inc();
                 self.core.counters.writes_submitted.add(width);
                 self.core.counters.ingest_depth.inc();
-                trace::emit(TraceKind::QueuePush, 0, self.queue.len() as u64);
+                trace::emit(TraceKind::QueuePush, 0, queued as u64);
+                if inline {
+                    self.core.drain_inline();
+                } else {
+                    self.core.ingest_notify.notify();
+                }
                 Ok(Ticket::new(cell))
             }
             Err(e) => {
@@ -1978,20 +2118,43 @@ where
     /// been applied to the backing object.
     pub fn submit(&self, component: usize, value: T) -> Result<UpdateTicket, SubmitError> {
         self.validate_components(std::iter::once(&component));
-        self.push_submission(vec![(component, value)])
+        self.push_submission(vec![(component, value)], false)
     }
 
     /// Submits an atomic batch: all writes take effect at one linearization
     /// point (the drainer never splits a submission across `update_many`
     /// calls). An empty batch resolves immediately.
     pub fn submit_batch(&self, writes: Vec<(usize, T)>) -> Result<UpdateTicket, SubmitError> {
+        self.submit_batch_with(writes, false)
+    }
+
+    /// Like [`submit_batch`](ClientHandle::submit_batch), but serves the
+    /// submission on the calling thread when it can: if the backing object
+    /// is wait-free and no ingestion round is running, this thread runs
+    /// one — the drainer's own drain-and-apply step, over every client's
+    /// queue — and the returned ticket has already resolved. Otherwise the
+    /// submission waits for the drainer exactly as with `submit_batch`.
+    /// Meant for a transport's reader thread, which saves the hand-offs to
+    /// the drainer and back.
+    pub fn submit_batch_inline(
+        &self,
+        writes: Vec<(usize, T)>,
+    ) -> Result<UpdateTicket, SubmitError> {
+        self.submit_batch_with(writes, true)
+    }
+
+    fn submit_batch_with(
+        &self,
+        writes: Vec<(usize, T)>,
+        inline: bool,
+    ) -> Result<UpdateTicket, SubmitError> {
         self.validate_components(writes.iter().map(|(c, _)| c));
         if writes.is_empty() {
             let cell = OpCell::new();
             cell.complete(());
             return Ok(Ticket::new(cell));
         }
-        self.push_submission(writes)
+        self.push_submission(writes, inline)
     }
 
     /// Requests a partial scan of `components` under the given freshness
@@ -2002,6 +2165,38 @@ where
         components: Vec<usize>,
         freshness: Freshness,
     ) -> Result<ScanTicket<T>, SubmitError> {
+        let (ticket, _) = self.push_scan(components, freshness)?;
+        self.core.scan_notify.notify();
+        Ok(ticket)
+    }
+
+    /// Like [`scan`](ClientHandle::scan), but serves the request on the
+    /// calling thread when it can: if the backing object is wait-free, the
+    /// coalescing policy never waits for partners (`Disabled` or a zero
+    /// `Window`), no other request is queued and no serve round is
+    /// running, this thread runs the scan server's serve step and the
+    /// returned ticket has already resolved. Otherwise the request waits
+    /// for the scan server exactly as with `scan`.
+    pub fn scan_inline(
+        &self,
+        components: Vec<usize>,
+        freshness: Freshness,
+    ) -> Result<ScanTicket<T>, SubmitError>
+    where
+        S: 'static,
+    {
+        let (ticket, queued) = self.push_scan(components, freshness)?;
+        self.core.serve_scans_inline(queued);
+        Ok(ticket)
+    }
+
+    /// Queues a scan request without notifying the scan server; returns
+    /// its ticket and the queue length after the push.
+    fn push_scan(
+        &self,
+        components: Vec<usize>,
+        freshness: Freshness,
+    ) -> Result<(ScanTicket<T>, usize), SubmitError> {
         self.validate_components(components.iter());
         let cell = OpCell::new();
         // Root of the whole request tree: every downstream span (queue
@@ -2014,7 +2209,7 @@ where
         let queue_wait = Span::child(root.context(), SpanKind::QueueWait);
         let result = {
             let _in_span = span::enter(root.context());
-            self.core.scan_queue.try_push(ScanRequest {
+            self.core.scan_queue.try_push_quiet(ScanRequest {
                 components,
                 freshness,
                 cell: Arc::clone(&cell),
@@ -2024,12 +2219,12 @@ where
             })
         };
         match result {
-            Ok(()) => {
+            Ok(queued) => {
                 self.busy_streak.store(0, Ordering::Relaxed);
                 self.core.counters.scans_ok.inc();
                 self.core.counters.scan_depth.inc();
-                trace::emit(TraceKind::QueuePush, 1, self.core.scan_queue.len() as u64);
-                Ok(Ticket::new(cell))
+                trace::emit(TraceKind::QueuePush, 1, queued as u64);
+                Ok((Ticket::new(cell), queued))
             }
             Err(e) => {
                 let counter = match e {

@@ -9,7 +9,7 @@
 //! hold open while clients keep submitting; the write log then proves no
 //! accepted write was dropped or applied twice.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -68,6 +68,9 @@ pub struct GatedSnapshot<T, S> {
     /// nanoseconds. Lets tests shape the backing-scan cost the adaptive
     /// coalescing controller observes.
     scan_delay_ns: AtomicU64,
+    /// What [`PartialSnapshot::is_wait_free`] reports (see
+    /// [`set_wait_free`](GatedSnapshot::set_wait_free)).
+    wait_free: AtomicBool,
 }
 
 impl<T, S> GatedSnapshot<T, S>
@@ -84,7 +87,15 @@ where
             applied: Mutex::new(Vec::new()),
             scans: Mutex::new(0),
             scan_delay_ns: AtomicU64::new(0),
+            wait_free: AtomicBool::new(false),
         }
+    }
+
+    /// Makes the object report itself wait-free (it is not: a closed gate
+    /// blocks). Lets a test park a caller that serves requests inline — a
+    /// path the service takes only on wait-free objects — on a gate.
+    pub fn set_wait_free(&self, wait_free: bool) {
+        self.wait_free.store(wait_free, Ordering::Relaxed);
     }
 
     /// Sets the artificial latency every subsequent inner scan pays.
@@ -144,7 +155,8 @@ where
         self.inner.scan(pid, components)
     }
     fn is_wait_free(&self) -> bool {
-        false // gates block by design
+        // Gates block by design; only a test's explicit request says otherwise.
+        self.wait_free.load(Ordering::Relaxed)
     }
     fn name(&self) -> &'static str {
         "gated-test-snapshot"

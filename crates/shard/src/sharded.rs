@@ -776,6 +776,15 @@ where
                 let component = state.router.component_of(shard, sub[0].0);
                 let value = sub[0].1.clone();
                 drop(guard);
+                // Release the latch before delegating: `update` takes the
+                // read side again, and std's RwLock queues a second read
+                // behind a waiting writer. A coordinated scan (or a
+                // resharder) arriving between the two reads would wait on
+                // this guard while this thread waits on it — a
+                // self-deadlock that wedged every updater behind it.
+                drop(_latch);
+                #[cfg(test)]
+                seam::single_write_shortcut();
                 return self.update(pid, component, value);
             }
             if by_shard.len() == 1 {
@@ -1046,6 +1055,31 @@ where
     }
 }
 
+/// Deterministic interleaving seams for the unit tests.
+#[cfg(test)]
+mod seam {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static SHORTCUT: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+    }
+
+    /// Installs `hook` on the calling thread: it runs each time this thread
+    /// takes `update_many`'s single-write shortcut, just before the
+    /// delegation to `update`.
+    pub fn on_single_write_shortcut(hook: impl FnMut() + 'static) {
+        SHORTCUT.with(|s| *s.borrow_mut() = Some(Box::new(hook)));
+    }
+
+    pub fn single_write_shortcut() {
+        SHORTCUT.with(|s| {
+            if let Some(hook) = s.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1053,6 +1087,44 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
+
+    /// Regression for the single-write shortcut of `update_many`, which
+    /// used to delegate to `update` while still holding the read side of
+    /// `coord_latch`. A coordinated scan queued for the write side between
+    /// the two reads then deadlocked against the updater. The seam parks
+    /// the updater at the shortcut while a coordinated scan acquires the
+    /// latch: the scan must complete while the updater is parked.
+    #[test]
+    fn single_write_update_many_never_holds_the_latch_across_update() {
+        let snap = Arc::new(cas_sharded(16, 2, ShardConfig::contiguous(4)));
+        // A pending coordinated scan routes updates onto the latch path.
+        snap.coord_waiters.fetch_add(1, Ordering::SeqCst);
+        let scanner_snap = Arc::clone(&snap);
+        let hits = Arc::new(AtomicU64::new(0));
+        let hook_hits = Arc::clone(&hits);
+        seam::on_single_write_shortcut(move || {
+            hook_hits.fetch_add(1, Ordering::SeqCst);
+            let snap = Arc::clone(&scanner_snap);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let scanner = thread::spawn(move || {
+                let guard = epoch::pin();
+                let state = snap.state(&guard);
+                let plan = state.router.plan(&[0, 15]);
+                let values = snap.coordinated_scan(state, ProcessId(1), &plan);
+                let _ = tx.send(values);
+            });
+            let values = rx.recv_timeout(std::time::Duration::from_secs(10)).expect(
+                "coordinated scan could not take the latch: update_many still holds \
+                 its read side at the single-write shortcut",
+            );
+            scanner.join().expect("coordinated scanner panicked");
+            assert_eq!(values, vec![0, 0], "the parked write is not yet applied");
+        });
+        snap.update_many(ProcessId(0), &[(3, 33)]);
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "shortcut seam never ran");
+        snap.coord_waiters.fetch_sub(1, Ordering::SeqCst);
+        assert_eq!(snap.scan(ProcessId(1), &[3]), vec![33]);
+    }
 
     fn cas_sharded(
         m: usize,

@@ -12,12 +12,13 @@
 //!   precision-safe JSON (decimal strings above 2⁵³). Backpressure is
 //!   explicit: a full ingestion queue answers `{"ok":false,"error":"busy"}`
 //!   — a frame, not a dropped request.
-//! * **Server** ([`server`]): an acceptor task on the service's hand-rolled
-//!   executor; per-connection ingestion queues reusing the in-process
-//!   ticket/backpressure machinery; idle timeouts, half-close draining, and
-//!   graceful shutdown (in-flight tickets resolve and flush before the
-//!   listener closes). Each request roots a flight-recorder span at frame
-//!   decode, so wire requests appear in span trees end to end.
+//! * **Server** ([`server`]): a blocking acceptor thread; per-connection
+//!   ingestion queues reusing the in-process ticket/backpressure machinery;
+//!   requests served on the connection's reader thread when the service's
+//!   pipeline is idle and the store is wait-free; idle timeouts, half-close
+//!   draining, and graceful shutdown (in-flight tickets resolve and flush
+//!   before the listener closes). Each request roots a flight-recorder span
+//!   at frame decode, so wire requests appear in span trees end to end.
 //! * **Client** ([`client`]): [`RemoteClientHandle`] mirrors the in-process
 //!   `ClientHandle` API; a reader thread resolves tickets out of order, and
 //!   a dead connection fails every outstanding ticket rather than hanging.

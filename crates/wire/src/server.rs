@@ -3,10 +3,9 @@
 //!
 //! # Architecture
 //!
-//! One **acceptor task** runs on the service's hand-rolled executor: it
-//! polls a non-blocking listener, sleeping on the executor's timer wheel
-//! between polls, and hands each accepted socket to a connection. Each
-//! **connection** owns
+//! One **acceptor thread** blocks in `accept` and hands each accepted
+//! socket to a connection; shutdown wakes it with a connection of its own.
+//! Each **connection** owns
 //!
 //! * its own [`ClientHandle`] — a per-connection bounded ingestion queue,
 //!   so one slow or hostile connection exhausts *its* queue and sees
@@ -30,14 +29,39 @@
 //!   A quiet peer waiting on a slow in-flight request is active, not
 //!   idle, and is never severed mid-request.
 //!
+//! # Inline serving
+//!
+//! The reader thread submits and scans through
+//! [`ClientHandle::submit_batch_inline`] and [`ClientHandle::scan_inline`]:
+//! the request is queued and bounds-checked as usual, then, if the
+//! pipeline's lease on its process ids is free, the reader runs the
+//! pipeline's own round (drain and `update_many`, or serve the scan
+//! queue) on its own thread and writes the reply itself under the writer
+//! lock. A request the reader could not serve — the lease was held, the
+//! store is not wait-free, or the scan policy waits for coalescing
+//! partners — goes to the reply pump, and so does a reply too large to
+//! write without risking a reader blocked on a slow peer (see
+//! `Conn::settle`). Three guards keep the old contracts: only wait-free
+//! stores are served inline, so a reader never blocks on a store call;
+//! only `Disabled` or zero-`Window` coalescing serves scans inline; and a
+//! thread that finds a lease held only marks it, so the holder re-notifies
+//! the pipeline and nothing waits or spins on a lease. An uncontended op crosses three thread wake-ups (server
+//! reader → client reader → caller) instead of six (server reader →
+//! executor worker → reply pump doorbell → reply pump ticket → client
+//! reader → caller).
+//!
+//! A request is in flight from frame decode until its reply is written,
+//! whichever thread writes it; the server's drain waits on that count.
+//!
 //! # Lifecycle
 //!
 //! Handshake first (`hello`/`welcome`, protocol version checked), then
 //! requests. A peer that half-closes its sending direction stops intake;
 //! in-flight tickets resolve, their replies flush, and only then does the
 //! server close its side. [`WireServer::shutdown`] performs the same drain
-//! across every connection — stop the acceptor, refuse new work with
-//! `closed`, wait for in-flight tickets, flush, then close the listener.
+//! across every connection — wake and stop the acceptor, refuse new work
+//! with `closed`, wait for in-flight tickets, flush, then close the
+//! listener.
 //! A connection that dies mid-request leaves its accepted submissions in
 //! the service pipeline — they are applied and their tickets resolve
 //! server-side, so the service's `accepted == resolved` accounting holds
@@ -46,8 +70,8 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,8 +102,6 @@ pub struct WireServerConfig {
     /// flush, or in-flight request) for this long. `None` disables the
     /// watchdog.
     pub idle_timeout: Option<Duration>,
-    /// How long the acceptor sleeps between listener polls.
-    pub accept_poll: Duration,
     /// Handshake read deadline: a connection that does not complete its
     /// hello within this window is dropped.
     pub handshake_timeout: Duration,
@@ -95,7 +117,6 @@ impl Default for WireServerConfig {
         WireServerConfig {
             max_frame_len: MAX_FRAME_LEN,
             idle_timeout: None,
-            accept_poll: Duration::from_millis(1),
             handshake_timeout: Duration::from_secs(5),
             write_timeout: Some(Duration::from_secs(30)),
         }
@@ -128,6 +149,9 @@ impl Listener {
 enum PendingTicket {
     Submit(Ticket<()>),
     Scan(Ticket<Vec<u64>>),
+    /// Already resolved, but too large for the reader thread to write (see
+    /// [`Conn::settle`]); taken once.
+    Ready(Option<ReplyBody>),
 }
 
 impl PendingTicket {
@@ -135,6 +159,16 @@ impl PendingTicket {
         match self {
             PendingTicket::Submit(t) => Pin::new(t).poll(cx).map(|()| ReplyBody::Submitted),
             PendingTicket::Scan(t) => Pin::new(t).poll(cx).map(ReplyBody::Values),
+            PendingTicket::Ready(body) => Poll::Ready(body.take().expect("reply taken twice")),
+        }
+    }
+
+    /// The reply body if the ticket has already resolved, without waiting.
+    fn try_body(&mut self) -> Option<ReplyBody> {
+        match self {
+            PendingTicket::Submit(t) => t.try_take().map(|()| ReplyBody::Submitted),
+            PendingTicket::Scan(t) => t.try_take().map(ReplyBody::Values),
+            PendingTicket::Ready(body) => body.take(),
         }
     }
 }
@@ -156,21 +190,6 @@ impl Future for TicketBody<'_> {
     type Output = ReplyBody;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         self.0.poll_body(cx)
-    }
-}
-
-/// Polls a [`PendingTicket`] exactly once: `Some(body)` if it is already
-/// complete, `None` if it is still pending (the pump flushes its write
-/// buffer before suspending on a genuinely-pending ticket).
-struct TryTicketBody<'a>(&'a mut PendingTicket);
-
-impl Future for TryTicketBody<'_> {
-    type Output = Option<ReplyBody>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.0.poll_body(cx) {
-            Poll::Ready(body) => Poll::Ready(Some(body)),
-            Poll::Pending => Poll::Ready(None),
-        }
     }
 }
 
@@ -226,7 +245,8 @@ impl Conn {
     }
 
     fn touch(&self) {
-        self.last_activity_ns.store(self.now_ns(), Ordering::Release);
+        self.last_activity_ns
+            .store(self.now_ns(), Ordering::Release);
     }
 
     /// Stops intake and severs both socket directions; the reader wakes
@@ -255,10 +275,9 @@ impl Conn {
         }
     }
 
-    /// Hands one ticket-backed request to the reply pump (counted as in
+    /// Hands one ticket-backed request to the reply pump (it stays in
     /// flight until its reply frame is flushed).
     fn push_reply(&self, entry: PendingReply) {
-        self.begin_request();
         let mut q = self.pump.lock().unwrap_or_else(|e| e.into_inner());
         q.entries.push_back(entry);
         if let Some(bell) = q.doorbell.take() {
@@ -273,6 +292,38 @@ impl Conn {
         q.closed = true;
         if let Some(bell) = q.doorbell.take() {
             bell.complete(());
+        }
+    }
+
+    /// Replies to an accepted request: from this (reader) thread if its
+    /// ticket has already resolved — served inline, or by a pipeline round
+    /// that got to it first — otherwise through the reply pump.
+    ///
+    /// A resolved reply of [`PUMP_FLUSH_BYTES`] or more also goes through
+    /// the pump: a few of those fill the socket buffer of a peer that reads
+    /// slowly or not at all, and a reader blocked writing them would stop
+    /// the connection's intake.
+    fn settle(&self, id: u64, mut ticket: PendingTicket, span: Span) {
+        let Some(body) = ticket.try_body() else {
+            return self.push_reply(PendingReply {
+                id,
+                ticket,
+                _span: span,
+            });
+        };
+        let reply = Reply {
+            id,
+            result: Ok(body),
+        };
+        let frame = encode_frame(reply.to_wire_string().as_bytes());
+        if frame.len() < PUMP_FLUSH_BYTES {
+            self.send_frame(&frame);
+        } else {
+            self.push_reply(PendingReply {
+                id,
+                ticket: PendingTicket::Ready(reply.result.ok()),
+                _span: span,
+            });
         }
     }
 
@@ -292,15 +343,22 @@ impl Conn {
         }
     }
 
+    /// Answers a request from the reader thread and ends it in flight.
     fn send_reply(&self, reply: &Reply) {
         // One buffered frame, one write: the peer's reader wakes once with
         // the whole frame instead of once for the header and once for the
         // payload.
-        let frame = encode_frame(reply.to_wire_string().as_bytes());
+        self.send_frame(&encode_frame(reply.to_wire_string().as_bytes()));
+    }
+
+    /// Writes one encoded reply frame from the reader thread and ends its
+    /// request in flight.
+    fn send_frame(&self, frame: &[u8]) {
         let ok = {
             let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            w.write_all(&frame).is_ok()
+            w.write_all(frame).is_ok()
         };
+        self.end_requests(1);
         if ok {
             self.touch();
         } else {
@@ -381,7 +439,7 @@ async fn reply_pump(conn: Arc<Conn>) {
                 Ticket::new(bell).await;
             }
             Step::Entry(mut entry) => {
-                let body = match TryTicketBody(&mut entry.ticket).await {
+                let body = match entry.ticket.try_body() {
                     Some(body) => body,
                     None => {
                         // Genuinely pending: everything serialized so far
@@ -456,7 +514,6 @@ where
         executor: &Executor,
     ) -> std::io::Result<WireServer<S>> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let tcp_addr = Some(listener.local_addr()?);
         Ok(Self::start(
             service,
@@ -478,7 +535,6 @@ where
     ) -> std::io::Result<WireServer<S>> {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         Ok(Self::start(
             service,
             Listener::Unix(listener),
@@ -507,9 +563,7 @@ where
             acceptor_done: OpCell::new(),
         });
         let accept_shared = Arc::clone(&shared);
-        executor.spawn(async move {
-            acceptor(accept_shared, listener).await;
-        });
+        std::thread::spawn(move || acceptor(&accept_shared, &listener));
         WireServer {
             shared,
             tcp_addr,
@@ -545,8 +599,11 @@ where
         }
         *done = true;
         self.shared.stop.store(true, Ordering::Release);
-        // Wait for the acceptor to exit: after this no connection can be
-        // added behind the drain's back.
+        // Wake the acceptor out of its blocking `accept` with a connection
+        // of our own, then wait for it to exit: after this no connection
+        // can be added behind the drain's back. If the wake-up connect
+        // fails, the wait below still ends at `timeout`.
+        self.wake_acceptor(timeout);
         let _ = psnap_serve::block_on_timeout(
             Ticket::new(Arc::clone(&self.shared.acceptor_done)),
             timeout,
@@ -567,7 +624,8 @@ where
             conn.wait_drained(deadline);
         }
         // Phase 3: sever. Readers blocked in `read` wake with an error and
-        // finish; the listener (and any socket file) goes away with self.
+        // finish; the listener closed when the acceptor thread exited, and
+        // any socket file is removed below.
         for conn in &conns {
             conn.stream.shutdown(Shutdown::Both);
         }
@@ -586,6 +644,21 @@ where
             let _ = std::fs::remove_file(path);
         }
     }
+
+    fn wake_acceptor(&self, timeout: Duration) {
+        if let Some(mut addr) = self.tcp_addr {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&addr, timeout);
+        }
+        if let Some(path) = &self.unix_path {
+            let _ = UnixStream::connect(path);
+        }
+    }
 }
 
 impl<S> Drop for WireServer<S>
@@ -597,17 +670,20 @@ where
     }
 }
 
-/// The acceptor task: polls the non-blocking listener, sleeping on the
-/// executor's timer wheel between polls, and spawns a reader thread per
-/// accepted connection.
-async fn acceptor<S>(shared: Arc<ServerShared<S>>, listener: Listener)
+/// The acceptor thread: blocks in `accept` and spawns a reader thread per
+/// accepted connection. Shutdown raises `stop` and wakes it with a
+/// connection of its own, which is dropped unserved.
+fn acceptor<S>(shared: &Arc<ServerShared<S>>, listener: &Listener)
 where
     S: PartialSnapshot<u64> + 'static,
 {
     while !shared.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok(stream) => {
-                spawn_connection(&shared, stream);
+                if shared.stop.load(Ordering::Acquire) {
+                    break;
+                }
+                spawn_connection(shared, stream);
                 // Prune finished connections so a long-lived server with
                 // churning clients does not accumulate dead entries.
                 shared
@@ -616,14 +692,9 @@ where
                     .unwrap_or_else(|e| e.into_inner())
                     .retain(|c| !c.finished.load(Ordering::Acquire));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                shared.handle.sleep(shared.config.accept_poll).await;
-            }
-            Err(_) => {
-                // Transient accept errors (aborted handshakes, fd pressure):
-                // back off one poll interval rather than spinning.
-                shared.handle.sleep(shared.config.accept_poll).await;
-            }
+            // Transient accept errors (aborted handshakes, fd pressure):
+            // back off briefly rather than spinning.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
     shared.acceptor_done.complete(());
@@ -716,8 +787,8 @@ where
 }
 
 /// The connection reader: handshake, then the request loop. Runs on its own
-/// OS thread (frame reads block); everything it dispatches completes on the
-/// executor.
+/// OS thread (frame reads block); what it dispatches completes either on
+/// this thread (inline serving) or on the service's pipeline tasks.
 fn run_connection<S>(shared: &Arc<ServerShared<S>>, conn: &Arc<Conn>, mut reader: Stream)
 where
     S: PartialSnapshot<u64> + 'static,
@@ -789,6 +860,10 @@ where
             }
         };
         conn.touch();
+        // In flight from decode until its reply is written, whichever path
+        // answers it: a drain waiting on this count can never sever a
+        // request that has passed the intake check below.
+        conn.begin_request();
 
         // Root the request tree at frame decode: the service's own request
         // root (ingest / scan request) nests beneath this span, so a wire
@@ -829,9 +904,10 @@ where
     }
 }
 
-/// Validates and dispatches one decoded request. Ticket-backed completions
-/// for submits and scans go to the connection's reply pump; errors and
-/// stats answer inline from the reader thread.
+/// Validates and dispatches one decoded request. Submits and scans go
+/// through the service's inline entry points: a request the reader thread
+/// served itself is answered from here, anything still pending goes to the
+/// connection's reply pump. Errors and stats answer from here too.
 fn dispatch<S>(
     shared: &Arc<ServerShared<S>>,
     conn: &Arc<Conn>,
@@ -844,9 +920,9 @@ fn dispatch<S>(
 {
     let id = request.id;
     // The wire span is entered around the service call so the in-process
-    // request root parents beneath it; it then travels into the reply pump
-    // and ends once the reply frame is serialized — the tree completes when
-    // the wire layer is truly done with the request.
+    // request root parents beneath it; it then travels with the reply and
+    // ends once the reply frame is serialized — the tree completes when the
+    // wire layer is truly done with the request.
     match request.body {
         RequestBody::Submit { writes } => {
             if writes.iter().any(|(c, _)| *c >= components) {
@@ -858,14 +934,10 @@ fn dispatch<S>(
             }
             let pushed = {
                 let _in = span::enter(wire_span.context());
-                client.submit_batch(writes)
+                client.submit_batch_inline(writes)
             };
             match pushed {
-                Ok(ticket) => conn.push_reply(PendingReply {
-                    id,
-                    ticket: PendingTicket::Submit(ticket),
-                    _span: wire_span,
-                }),
+                Ok(ticket) => conn.settle(id, PendingTicket::Submit(ticket), wire_span),
                 Err(e) => conn.send_reply(&Reply {
                     id,
                     result: Err(submit_error(e)),
@@ -885,14 +957,10 @@ fn dispatch<S>(
             }
             let pushed = {
                 let _in = span::enter(wire_span.context());
-                client.scan(requested, freshness)
+                client.scan_inline(requested, freshness)
             };
             match pushed {
-                Ok(ticket) => conn.push_reply(PendingReply {
-                    id,
-                    ticket: PendingTicket::Scan(ticket),
-                    _span: wire_span,
-                }),
+                Ok(ticket) => conn.settle(id, PendingTicket::Scan(ticket), wire_span),
                 Err(e) => conn.send_reply(&Reply {
                     id,
                     result: Err(submit_error(e)),
